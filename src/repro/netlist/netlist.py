@@ -84,7 +84,12 @@ class Netlist:
 
 
 class Module:
-    """One module: ports, nets and instances."""
+    """One module: ports, nets and instances.
+
+    Invariant: every name in ``nets`` has passed :func:`check_name`
+    (nets only enter through :meth:`add_port` and :meth:`add_net`, both
+    of which check), so re-declaring a known net skips the check.
+    """
 
     def __init__(self, name: str):
         check_name(name, "module name")
@@ -92,6 +97,7 @@ class Module:
         self.ports: list[ModulePort] = []
         self.nets: set[str] = set()
         self.instances: list[Instance] = []
+        self._port_names: set[str] = set()
         self._instance_names: set[str] = set()
 
     # -- construction ------------------------------------------------------
@@ -99,9 +105,10 @@ class Module:
     def add_port(self, name: str, direction: PortDir) -> str:
         """Declare a port; the port is also a net of the same name."""
         check_name(name, "port name")
-        if any(p.name == name for p in self.ports):
+        if name in self._port_names:
             raise ValueError(f"duplicate port {name!r} on module {self.name!r}")
         self.ports.append(ModulePort(name, direction))
+        self._port_names.add(name)
         self.nets.add(name)
         return name
 
@@ -113,8 +120,9 @@ class Module:
 
     def add_net(self, name: str) -> str:
         """Declare an internal net (idempotent)."""
-        check_name(name, "net name")
-        self.nets.add(name)
+        if name not in self.nets:
+            check_name(name, "net name")
+            self.nets.add(name)
         return name
 
     def add_instance(self, name: str, ref: str, **conns: str) -> Instance:
@@ -126,8 +134,9 @@ class Module:
         if name in self._instance_names:
             raise ValueError(f"duplicate instance {name!r} in module {self.name!r}")
         for net in conns.values():
-            self.add_net(net)
-        inst = Instance(name=name, ref=ref, conns=dict(conns))
+            if net not in self.nets:  # most pins tap nets declared already
+                self.add_net(net)
+        inst = Instance(name=name, ref=ref, conns=conns)  # ``**conns`` is a fresh dict
         self.instances.append(inst)
         self._instance_names.add(name)
         return inst

@@ -49,7 +49,6 @@ from repro.sched.timecalc import (
     clear_scan_time_cache,
     core_scan_time,
     functional_test_time,
-    make_scan_time_fn,
     scan_test_time,
     scan_time_cache_stats,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "core_scan_time",
     "scan_time_cache_stats",
     "functional_test_time",
-    "make_scan_time_fn",
     "scan_test_time",
     "FUNCTIONAL_SETUP_CYCLES",
     "SESSION_RECONFIG_CYCLES",

@@ -30,6 +30,7 @@ two engines are bit-identical by construction and by test.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Optional
 
@@ -81,6 +82,17 @@ def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, i
     A width-``w`` connection costs ``2w`` data pins (w in + w out).
     Returns task-name → width, or ``None`` if the scan tasks cannot all
     get at least one wire pair.
+
+    The session is as long as its slowest member, so each grant goes to
+    the longest task (membership order on ties) that some extra wires
+    shorten, and it gets the fewest wires that do.  Tasks sit on a heap
+    keyed ``(-time, membership index)``.  A task the top of the heap
+    cannot grant is dropped for good: its width no longer changes and
+    ``remaining`` only shrinks, so no later grant can shorten it either.
+    A grant only raises its task's key, so the first task dropped keeps
+    the smallest key and stays the critical task: if it is saturated
+    nothing can shorten the session and the grants stop; otherwise that
+    exit can never fire again.
     """
     scan_tasks = [t for t in tasks if t.is_scan]
     if not scan_tasks:
@@ -90,29 +102,26 @@ def assign_widths(tasks: list[TestTask], data_pins: int) -> Optional[dict[str, i
         return None
     widths = {t.name: 1 for t in scan_tasks}
     remaining = pairs - len(scan_tasks)
-    while remaining > 0:
-        # the session is as long as its slowest member: widen that one
-        order = sorted(scan_tasks, key=lambda t: -t.time(widths[t.name]))
-        granted = False
-        for task in order:
-            w = widths[task.name]
-            current = task.time(w)
-            # smallest extra wires that actually shorten this task
-            for extra in range(1, remaining + 1):
-                if w + extra > task.max_width:
-                    break
-                if task.time(w + extra) < current:
-                    widths[task.name] = w + extra
-                    remaining -= extra
-                    granted = True
-                    break
-            if granted:
+    heap = [(-t.time(1), i) for i, t in enumerate(scan_tasks)]
+    heapq.heapify(heap)
+    dropped = False
+    while remaining > 0 and heap:
+        neg_time, i = heap[0]
+        task = scan_tasks[i]
+        w = widths[task.name]
+        # smallest extra wires that actually shorten this task
+        for extra in range(1, min(remaining, task.max_width - w) + 1):
+            if task.time(w + extra) < -neg_time:
+                widths[task.name] = w + extra
+                remaining -= extra
+                heapq.heapreplace(heap, (-task.time(w + extra), i))
                 break
-            if task is order[0] and w >= task.max_width:
+        else:
+            if not dropped and w >= task.max_width:
                 # critical task saturated: no grant can shorten the session
                 return widths
-        if not granted:
-            break
+            heapq.heappop(heap)
+            dropped = True
     return widths
 
 

@@ -23,7 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.soc.core import Core
-from repro.wrapper.balance import design_wrapper
+from repro.wrapper.balance import design_wrapper, wrapper_cell_counts
 from repro.wrapper.wir import WIR_BITS
 
 #: Cycles to program one wrapper's WIR (shift opcode + update + select).
@@ -182,9 +182,15 @@ class ScanTimeModel:
                 _SCAN_TIME_CACHE.move_to_end(shared_key)
                 _SCAN_TIME_STATS["hits"] += 1
         if model is None:
-            times = tuple(
-                core_scan_time(core, width, patterns)
+            # the cell counts do not depend on the width: count once
+            cells = wrapper_cell_counts(core)
+            plans = (
+                design_wrapper(core, width, _cells=cells)
                 for width in range(1, max(1, max_width) + 1)
+            )
+            times = tuple(
+                scan_test_time(plan.scan_in_depth, plan.scan_out_depth, patterns)
+                for plan in plans
             )
             model = cls(core_name=core.name, patterns=patterns, times=times)
             with _SCAN_TIME_LOCK:
@@ -207,15 +213,6 @@ class ScanTimeModel:
         if width < 1:
             width = 1
         return self.times[min(width, len(self.times)) - 1]
-
-
-def make_scan_time_fn(core: Core, patterns: int) -> ScanTimeModel:
-    """A precomputed ``width -> cycles`` callable for a core's scan test.
-
-    Kept for API compatibility; returns a (picklable)
-    :class:`ScanTimeModel` rather than the old closure.
-    """
-    return ScanTimeModel.for_core(core, patterns)
 
 
 def best_width_time(core: Core, max_width: int, patterns: int | None = None) -> tuple[int, int]:

@@ -21,6 +21,7 @@ Provided algorithms:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.soc.core import Core
@@ -31,14 +32,18 @@ from repro.util import check_positive
 def partition_greedy(lengths: list[int], width: int) -> list[list[int]]:
     """Partition item indices into ``width`` bins, minimizing max load
     (LPT/BFD heuristic).  Returns bins of item indices (some may be
-    empty); deterministic for reproducibility."""
+    empty); deterministic for reproducibility.
+
+    The least-loaded bin comes off a heap keyed ``(load, bin)``, so ties
+    go to the lowest bin index.
+    """
     check_positive(width, "partition width")
     bins: list[list[int]] = [[] for _ in range(width)]
-    loads = [0] * width
+    heap = [(0, b) for b in range(width)]  # sorted, hence already a heap
     for index in sorted(range(len(lengths)), key=lambda i: (-lengths[i], i)):
-        target = min(range(width), key=lambda b: (loads[b], b))
+        load, target = heap[0]
         bins[target].append(index)
-        loads[target] += lengths[index]
+        heapq.heapreplace(heap, (load + lengths[index], target))
     return bins
 
 
@@ -177,16 +182,63 @@ def wrapper_cell_counts(core: Core) -> tuple[int, int]:
     return n_in, n_out
 
 
-def design_wrapper(core: Core, width: int, exact: bool = False) -> WrapperPlan:
+def _water_fill(bases: list[int], cells: int) -> list[int]:
+    """Cells per chain when ``cells`` unit cells are placed one at a time
+    on the chain of lowest ``base + cells so far`` (lowest index on ties).
+
+    Closed form of that loop: every chain is filled up to the level
+    ``L``, the largest one with ``sum(max(0, L - base)) <= cells``, and
+    the remainder (fewer than the chains at ``L``) goes one each to the
+    lowest-index chains whose base is ``<= L``.  The loop never lifts a
+    chain above ``L`` while another sits below it, and among chains at
+    ``L`` it picks the lowest index first, so the two agree exactly.
+
+    >>> _water_fill([10, 5], 4)
+    [0, 4]
+    >>> _water_fill([3, 3], 3)
+    [2, 1]
+    """
+    if cells <= 0:
+        return [0] * len(bases)
+    ordered = sorted(bases)
+    prefix = 0
+    for k, base in enumerate(ordered, 1):
+        prefix += base
+        level = (cells + prefix) // k
+        if k == len(ordered) or level < ordered[k]:
+            break
+    spare = cells + prefix - k * level
+    fill = []
+    for base in bases:
+        if base > level:
+            fill.append(0)
+        elif spare:
+            fill.append(level - base + 1)
+            spare -= 1
+        else:
+            fill.append(level - base)
+    return fill
+
+
+def design_wrapper(
+    core: Core,
+    width: int,
+    exact: bool = False,
+    *,
+    _cells: tuple[int, int] | None = None,
+) -> WrapperPlan:
     """Build a balanced wrapper plan for ``core`` with ``width`` TAM wires.
 
     Internal scan chains are re-stitched into ``width`` balanced chains
     for soft cores, or partitioned (greedy or exact) for hard cores.
     Wrapper input/output cells (one per functional input/output bit) are
     then distributed to equalize scan-in and scan-out depths.
+
+    ``_cells`` is :func:`wrapper_cell_counts` of ``core`` when the
+    caller already has it (a width sweep counts once, not per width).
     """
     check_positive(width, "TAM width")
-    n_in_cells, n_out_cells = wrapper_cell_counts(core)
+    n_in_cells, n_out_cells = wrapper_cell_counts(core) if _cells is None else _cells
 
     chains = [WrapperChain() for _ in range(width)]
     rebalanced = False
@@ -208,12 +260,12 @@ def design_wrapper(core: Core, width: int, exact: bool = False) -> WrapperPlan:
                     chains[b].internal_length += lengths[i]
 
     # distribute boundary cells: input cells balance scan-in depth,
-    # output cells balance scan-out depth (independent greedy passes)
-    for _ in range(n_in_cells):
-        target = min(chains, key=lambda c: c.in_length)
-        target.input_cells += 1
-    for _ in range(n_out_cells):
-        target = min(chains, key=lambda c: c.out_length)
-        target.output_cells += 1
+    # output cells balance scan-out depth (independent greedy passes,
+    # both filling on top of the internal lengths)
+    bases = [c.internal_length for c in chains]
+    for chain, cells in zip(chains, _water_fill(bases, n_in_cells)):
+        chain.input_cells = cells
+    for chain, cells in zip(chains, _water_fill(bases, n_out_cells)):
+        chain.output_cells = cells
 
     return WrapperPlan(core_name=core.name, width=width, chains=chains, rebalanced=rebalanced)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.netlist import Module, Netlist
+from repro.netlist.cells import LIBRARY
 from repro.soc.core import Core
 from repro.soc.ports import Direction, SignalKind
 from repro.soc.bits import expand_port_bits
@@ -38,19 +39,22 @@ class GeneratedWrapper:
     wbc_count: int
 
     def area(self, netlist: Netlist) -> float:
-        """Wrapper area excluding the wrapped core itself."""
-        core_refs = {self.plan.core_name}
+        """Wrapper area excluding the wrapped core itself.
+
+        Each sub-module's area is computed once per call, not once per
+        instance (a wrapper instantiates ``WBC`` once per boundary bit).
+        """
+        module_area: dict[str, float] = {}
         total = 0.0
         for inst in self.module.instances:
-            if inst.ref in core_refs:
+            if inst.ref == self.plan.core_name:
                 continue
             if inst.ref in netlist.modules:
-                total += netlist.module(inst.ref).area(netlist)
-            else:
-                from repro.netlist.cells import LIBRARY
-
-                if inst.ref in LIBRARY:
-                    total += LIBRARY[inst.ref].area
+                if inst.ref not in module_area:
+                    module_area[inst.ref] = netlist.module(inst.ref).area(netlist)
+                total += module_area[inst.ref]
+            elif inst.ref in LIBRARY:
+                total += LIBRARY[inst.ref].area
         return total
 
 

@@ -7,6 +7,7 @@ from repro.netlist import (
     LIBRARY,
     Module,
     Netlist,
+    PortDir,
     cell,
     flatten,
     module_to_verilog,
@@ -64,8 +65,12 @@ class TestModule:
     def test_duplicate_port_rejected(self):
         m = Module("m")
         m.add_input("a")
-        with pytest.raises(ValueError):
+        m.add_output("b")
+        with pytest.raises(ValueError, match="duplicate port 'a'"):
             m.add_output("a")
+        with pytest.raises(ValueError, match="duplicate port 'b'"):
+            m.add_port("b", PortDir.OUT)
+        assert [p.name for p in m.ports] == ["a", "b"]
 
     def test_duplicate_instance_rejected(self):
         m = make_half_adder()

@@ -7,7 +7,6 @@ from repro.sched import (
     best_width_time,
     core_scan_time,
     functional_test_time,
-    make_scan_time_fn,
     scan_max_width,
     scan_test_time,
     tasks_from_core,
@@ -106,9 +105,9 @@ class TestScanTimeModel:
         model = ScanTimeModel.for_core(build_usb_core())
         assert list(model.times) == sorted(model.times, reverse=True)
 
-    def test_make_scan_time_fn_compat_shim(self):
+    def test_for_core_explicit_patterns_matches_core_scan_time(self):
         usb = build_usb_core()
-        fn = make_scan_time_fn(usb, 716)
+        fn = ScanTimeModel.for_core(usb, 716)
         assert isinstance(fn, ScanTimeModel)
         assert fn(4) == core_scan_time(usb, 4, 716)
 
