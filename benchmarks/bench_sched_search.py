@@ -16,7 +16,8 @@ The measurements land in ``BENCH_sched.json`` (schema
   *warm* (a structurally identical corpus rebuilt from the same seeds,
   so every scan-time table is a digest hit).
 * **reference race** — the incremental engine against
-  ``schedule_sessions_reference`` on the same prebuilt task lists, with
+  ``schedule_sessions_reference`` (``tests/session_ref.py``) on the
+  same prebuilt task lists, with
   every schedule compared bit-for-bit.  This is the machine-independent
   number: the acceptance gate requires >= 3x.
 * **backend race** — full-flow chips/sec over a spec-based d695-like
@@ -48,6 +49,12 @@ import platform
 import statistics
 import sys
 import time
+
+#: The reference engine is a test oracle, not library code: it lives in
+#: the repo's ``tests/`` directory (``tests/session_ref.py``).
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+)
 
 #: (profile, corpus size) per mode; seeds are 0..n-1 so every run and
 #: every machine schedules the same chips.
@@ -127,11 +134,8 @@ def measure_corpus_rates(mode: str) -> list[dict]:
 def measure_reference_race(mode: str) -> dict:
     """Both engines over the same prebuilt task lists, outputs compared
     bit for bit.  Task building is excluded: this isolates the search."""
-    from repro.sched import (
-        schedule_sessions,
-        schedule_sessions_reference,
-        tasks_from_soc,
-    )
+    from repro.sched import schedule_sessions, tasks_from_soc
+    from session_ref import schedule_sessions_reference
 
     count = RACE_CHIPS[mode]
     socs = build_corpus(RACE_PROFILE, count)
@@ -287,11 +291,11 @@ def measure_d695() -> dict:
     """The ITC'02 anchor workload both golden fixtures pin."""
     from repro.sched import (
         schedule_sessions,
-        schedule_sessions_reference,
         session_schedule_floor,
         tasks_from_soc,
     )
     from repro.soc.itc02 import d695_soc
+    from session_ref import schedule_sessions_reference
 
     soc = d695_soc(test_pins=48)
     tasks = tasks_from_soc(soc)

@@ -8,7 +8,7 @@ this is the command shell for the whole reproduction:
 * ``python -m repro dsc --json``     — machine-readable integration result
 * ``python -m repro dsc --verilog``  — also dump the DFT-inserted Verilog
 * ``python -m repro batch``          — integrate many SOCs concurrently
-  (``--backend serial|thread|process`` picks the executor)
+  (``--backend auto|serial|process`` picks the executor)
 * ``python -m repro march``          — list the March algorithm library
 * ``python -m repro coverage``       — March fault-coverage table
 * ``python -m repro d695 [pins]``    — schedule the ITC'02 d695 benchmark
@@ -634,8 +634,9 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument("--workers", type=int, default=None,
                          help="worker count (default: one per SOC, capped at CPUs)")
     p_batch.add_argument("--backend", choices=_backend_choices(), default="auto",
-                         help="executor backend (auto picks serial for trivial "
-                              "batches, process otherwise)")
+                         help="executor backend: serial (one loop) or process "
+                              "(a worker pool); auto picks serial for trivial "
+                              "batches, process otherwise")
     p_batch.add_argument("--strategy", choices=strategies, default="session",
                          help="scheduling strategy (registry name)")
     p_batch.add_argument("--json", action="store_true",
@@ -831,8 +832,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--port", type=int, default=8750,
                          help="bind port (0 picks a free one)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="concurrent jobs (each job parallelizes "
-                              "internally via --backend)")
+                         help="concurrent jobs; a batch or fuzz job also fans "
+                              "out over its own process pool when its backend "
+                              "resolves to process (see --backend)")
     p_serve.add_argument("--backend", choices=_backend_choices(), default=None,
                          help="default executor backend for submitted jobs")
     p_serve.add_argument("--cache-dir", default=None,

@@ -3,40 +3,34 @@
 The paper integrates one chip in "5 minutes"; a production platform
 integrates design-space sweeps (pin budgets, power budgets, floorplans)
 and whole chip families.  :func:`integrate_many` fans the Fig.-1 flow
-out over a pluggable executor backend with
+out over an executor backend with
 
 * **deterministic ordering** — results come back in input order no
   matter which worker finishes first,
 * **per-SOC error isolation** — one infeasible or malformed chip yields
   a failed :class:`BatchItem`; the rest of the batch completes, and
-* **per-worker platform instances** — every worker thread/process runs
-  its own :class:`~repro.core.steac.Steac`, so a stage that keeps
-  per-run state on ``self`` can never race across chips.
+* **per-worker platform instances** — every worker process runs its
+  own :class:`~repro.core.steac.Steac`, so a stage that keeps per-run
+  state on ``self`` can never race across chips.
 
 Backends (``backend=`` on :func:`integrate_many` / ``--backend`` on the
 CLI):
 
 ``serial``
     A plain loop in the calling thread — the reference semantics.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  On GIL builds
-    the speedup for this pure-Python flow is modest (free-threaded
-    builds overlap fully).
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` with chunked
     submission — true multi-core execution.  This became possible once
     scan-task time models were made declarative and picklable
     (:class:`repro.sched.timecalc.ScanTimeModel` replaced the old
-    closure-based ``time_fn``, which pinned this module to threads).
-    Under ``auto``, a pool-machinery failure — an unpicklable work item
-    or result, a crashed worker — transparently retries on the thread
-    backend (identical deterministic results, no pickle boundary), so
-    per-SOC isolation holds either way; an *explicit* ``process``
-    request propagates such failures instead, keeping picklability
-    regressions visible to CI smoke runs.
+    closure-based ``time_fn``).  A pool-machinery failure — an
+    unpicklable work item or result, a crashed worker — propagates to
+    the caller, so picklability regressions stay visible.
 ``auto``
     ``serial`` for single-worker or single-chip batches, ``process``
-    otherwise.
+    otherwise.  The resolved name is final: nothing reroutes a batch to
+    another backend afterwards, and :attr:`BatchResult.backend` records
+    it.
 
 Work items may be live :class:`~repro.soc.soc.Soc` objects **or**
 cheap *specs* exposing ``build() -> Soc`` (e.g.
@@ -57,12 +51,10 @@ warms its own copy from the chips it happens to draw.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -84,7 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.steac import Steac, SteacConfig
 
 #: Executor backends ``integrate_many`` accepts.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 #: Target chunks-per-worker for process submission: small enough to load
 #: balance uneven chips, large enough to amortize pickling round-trips.
@@ -230,18 +222,15 @@ class BatchResult:
 # -- worker plumbing ---------------------------------------------------------
 
 
-def _integrate_item(
-    steac: "Steac", index: int, item: WorkItem, span_parent: Optional[int] = None
-) -> BatchItem:
+def _integrate_item(steac: "Steac", index: int, item: WorkItem) -> BatchItem:
     """Run one work item on one platform instance, isolating errors.
 
     When tracing is on, the item runs under a ``batch.item`` span
     carrying its batch position and — for spec work — the ``(profile,
-    seed, index)`` generation coordinates; ``span_parent`` pins the
-    batch-run span for worker threads, whose own span stacks are empty.
+    seed, index)`` generation coordinates.
     """
     sp = span(
-        "batch.item", parent=span_parent, index=index,
+        "batch.item", index=index,
         profile=getattr(item, "profile", None), seed=getattr(item, "seed", None),
     )
     name = f"soc[{index}]"
@@ -309,29 +298,6 @@ def _process_one(index: int, item: WorkItem) -> BatchItem:
     return out
 
 
-def _run_threads(
-    items: list[WorkItem],
-    config: "SteacConfig | None",
-    workers: int,
-    span_parent: Optional[int] = None,
-    progress: Optional[Callable] = None,
-) -> list[BatchItem]:
-    """Thread backend: one lazily-constructed ``Steac`` per worker thread."""
-    from repro.core.steac import Steac
-
-    local = threading.local()
-
-    def run(index: int, item: WorkItem) -> BatchItem:
-        steac = getattr(local, "steac", None)
-        if steac is None:
-            steac = local.steac = Steac(config)
-        return _integrate_item(steac, index, item, span_parent=span_parent)
-
-    return map_backend(
-        run, (range(len(items)), items), "thread", workers, progress=progress
-    )
-
-
 def auto_workers(n_items: int) -> int:
     """The default worker count for ``n_items`` units of work: one per
     item, capped at the CPU count, never below one.  Shared by
@@ -379,51 +345,16 @@ def map_backend(
 ) -> list:
     """Order-preserving ``map(fn, *iterables)`` on a concrete backend.
 
-    The one executor dispatch shared by :func:`integrate_many` and the
-    CLI ``fuzz`` sweep — ``serial`` runs a plain loop, ``thread`` /
-    ``process`` fan out over a pool (``executor.map`` preserves input
-    order regardless of completion order).  For the process backend
-    ``fn`` must be picklable (module-level), and ``initializer`` (when
-    given) runs once per worker process; the other backends ignore it —
-    their callers do per-worker setup in ``fn`` itself.  ``progress``
-    (when given) is called with each result as it is collected — the
-    hook live job progress (:class:`repro.obs.JobProgress`) hangs off.
+    The one-shot form of :class:`ChunkRunner`, shared by
+    :func:`integrate_many` and the CLI ``fuzz`` sweep: one pool for one
+    map.  For the process backend ``fn`` must be picklable
+    (module-level), and ``initializer`` (when given) runs once per
+    worker process; ``serial`` ignores it.  ``progress`` (when given) is
+    called with each result as it is collected — the hook live job
+    progress (:class:`repro.obs.JobProgress`) hangs off.
     """
-    if backend == "process":
-        with _reap_on_interrupt(
-            ProcessPoolExecutor(
-                max_workers=workers, initializer=initializer, initargs=initargs
-            )
-        ) as pool:
-            return _drain(pool.map(fn, *iterables, chunksize=chunksize), progress)
-    if backend == "thread":
-        with _reap_on_interrupt(ThreadPoolExecutor(max_workers=workers)) as pool:
-            return _drain(pool.map(fn, *iterables), progress)
-    if backend != "serial":
-        raise ValueError(
-            f"unresolved batch backend {backend!r}; run resolve_backend() first"
-        )
-    return _drain((fn(*args) for args in zip(*iterables)), progress)
-
-
-@contextlib.contextmanager
-def _reap_on_interrupt(pool):
-    """Run ``pool`` as a context manager that stays responsive to Ctrl-C.
-
-    A bare ``with executor:`` block calls ``shutdown(wait=True)`` on the
-    way out, so a ``KeyboardInterrupt`` raised while draining results
-    *blocks* until every already-queued work item finishes — on the
-    process backend that can be minutes of orphan-looking workers after
-    the user asked to stop.  Here an interrupt (or any error) cancels
-    the queued-but-unstarted futures first, so the pool joins after at
-    most the in-flight items."""
-    try:
-        yield pool
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    finally:
-        pool.shutdown(wait=True)
+    with ChunkRunner(backend, workers, initializer, initargs) as runner:
+        return runner.map(fn, iterables, progress=progress, chunksize=chunksize)
 
 
 class ChunkRunner:
@@ -438,9 +369,12 @@ class ChunkRunner:
     in input order — the caller can checkpoint the instant it returns
     and lose at most the next in-flight chunk to a crash.
 
-    Use as a context manager; on an exception (including
-    ``KeyboardInterrupt``) queued work is cancelled so pool workers are
-    reaped promptly instead of draining the backlog.
+    Use as a context manager.  A bare ``with executor:`` block would,
+    on an exception (including ``KeyboardInterrupt``), wait for every
+    already-queued item — minutes of orphan-looking workers after the
+    user asked to stop.  Here the queued-but-unstarted work is
+    cancelled first, and then the in-flight items are joined, so no
+    worker outlives the block.
     """
 
     def __init__(
@@ -450,42 +384,37 @@ class ChunkRunner:
         initializer: Optional[Callable] = None,
         initargs: tuple = (),
     ):
-        if backend not in ("serial", "thread", "process"):
+        if backend not in ("serial", "process"):
             raise ValueError(
-                f"unresolved chunk backend {backend!r}; run resolve_backend() first"
+                f"unresolved batch backend {backend!r}; run resolve_backend() first"
             )
-        self.backend = backend
-        self.workers = max(1, workers)
         self._pool = None
         if backend == "process":
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=initializer, initargs=initargs
+                max_workers=max(1, workers), initializer=initializer, initargs=initargs
             )
-        elif backend == "thread":
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
 
     def map(
-        self, fn: Callable, iterables: Sequence[Iterable], progress=None
+        self,
+        fn: Callable,
+        iterables: Sequence[Iterable],
+        progress: Optional[Callable] = None,
+        chunksize: int = 1,
     ) -> list:
         """Order-preserving ``map(fn, *iterables)`` over one chunk —
         blocks until the whole chunk is collected (the checkpoint
-        barrier).  ``progress`` is called with each result as it lands,
-        exactly like :func:`map_backend`."""
+        barrier).  ``progress`` is called with each result as it lands;
+        ``chunksize`` batches items per process-pool round-trip."""
         if self._pool is None:
             return _drain((fn(*args) for args in zip(*iterables)), progress)
-        return _drain(self._pool.map(fn, *iterables), progress)
-
-    def shutdown(self, cancel: bool = False) -> None:
-        """Join the pool (``cancel=True`` drops queued-but-unstarted
-        work first — the interrupt path)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
+        return _drain(self._pool.map(fn, *iterables, chunksize=chunksize), progress)
 
     def __enter__(self) -> "ChunkRunner":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(cancel=exc_type is not None)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=exc_type is not None)
 
 
 def integrate_many(
@@ -505,14 +434,14 @@ def integrate_many(
             its own ``Steac`` from it; the process backend requires it
             to be picklable, which the stock ``SteacConfig`` is).
         workers: worker count; default ``min(len(socs), cpu_count)``.
-        backend: ``auto`` / ``serial`` / ``thread`` / ``process``
-            (see :data:`BACKENDS`); ``auto`` picks ``serial`` for
-            trivial batches and ``process`` otherwise.  On platforms
-            whose multiprocessing start method is *spawn* (macOS,
-            Windows), the process backend — like any use of
-            ``multiprocessing`` — requires the calling script to guard
-            its entry point with ``if __name__ == "__main__":``; pass
-            ``backend="thread"`` to keep the old thread-pool behaviour.
+        backend: ``auto`` / ``serial`` / ``process`` (see
+            :data:`BACKENDS`); ``auto`` picks ``serial`` for trivial
+            batches and ``process`` otherwise.  On platforms whose
+            multiprocessing start method is *spawn* (macOS, Windows),
+            the process backend — like any use of ``multiprocessing`` —
+            requires the calling script to guard its entry point with
+            ``if __name__ == "__main__":``; pass ``backend="serial"``
+            where that guard is not an option.
         progress: optional :class:`repro.obs.JobProgress` (or anything
             with its ``start``/``advance`` shape) bumped once per
             finished chip — the serving layer passes the job's progress
@@ -522,7 +451,9 @@ def integrate_many(
     Returns:
         A :class:`BatchResult` whose items are in ``socs`` order; a SOC
         that raises during integration becomes a failed item and does
-        not disturb its neighbours.
+        not disturb its neighbours.  A pool-machinery failure on the
+        process backend (unpicklable item or result, crashed worker)
+        raises instead.
     """
     from repro.core.steac import Steac
 
@@ -530,7 +461,6 @@ def integrate_many(
     if workers is None:
         workers = auto_workers(len(items))
     workers = max(1, workers)
-    requested = backend
     backend = resolve_backend(backend, workers, len(items))
 
     started = time.perf_counter()
@@ -546,50 +476,27 @@ def integrate_many(
         if not items:
             out: list[BatchItem] = []
         elif backend == "process":
-            chunksize = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
-            try:
-                out = map_backend(
-                    _process_one,
-                    (range(len(items)), items),
-                    backend,
-                    workers,
-                    chunksize=chunksize,
-                    initializer=_init_process_worker,
-                    initargs=(config, tracing_enabled()),
-                    progress=note,
-                )
-            except Exception:
-                # anything escaping pool.map is pool machinery, not
-                # integration logic (per-item errors are already caught in
-                # _integrate_item): an unpicklable item/result or a crashed
-                # worker.  When the caller asked for "auto", retry on the
-                # thread backend (no pickle boundary, same deterministic
-                # results) to honour the per-SOC isolation promise; an
-                # *explicit* process request propagates the failure, so CI
-                # smoke runs can catch picklability regressions.
-                if requested != "auto":
-                    raise
-                backend = "thread"
-                out = _run_threads(
-                    items, config, workers, span_parent=bsp.id, progress=note
-                )
-            else:
-                # re-home worker-side span records under the batch span
-                for item in out:
-                    if item.spans:
-                        TRACER.adopt(item.spans, parent=bsp.id)
-                    item.spans = None
-        elif backend == "thread":
-            out = _run_threads(
-                items, config, workers, span_parent=bsp.id, progress=note
+            out = map_backend(
+                _process_one,
+                (range(len(items)), items),
+                backend,
+                workers,
+                chunksize=max(1, len(items) // (workers * _CHUNKS_PER_WORKER)),
+                initializer=_init_process_worker,
+                initargs=(config, tracing_enabled()),
+                progress=note,
             )
+            # re-home worker-side span records under the batch span
+            for item in out:
+                if item.spans:
+                    TRACER.adopt(item.spans, parent=bsp.id)
+                item.spans = None
         else:  # serial: one shared Steac in the calling thread
             steac = Steac(config)
             out = map_backend(
                 lambda i, item: _integrate_item(steac, i, item),
                 (range(len(items)), items),
                 backend,
-                workers,
                 progress=note,
             )
     return BatchResult(

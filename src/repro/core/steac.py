@@ -159,10 +159,9 @@ class Steac:
         concurrently under this configuration.
 
         Results come back in input order with per-SOC error isolation;
-        each worker (thread or process, per ``backend``) runs its own
-        ``Steac`` built from this platform's config; see
-        :func:`repro.core.batch.integrate_many` (including the
-        ``progress`` live-counter hook).
+        each worker runs its own ``Steac`` built from this platform's
+        config; see :func:`repro.core.batch.integrate_many` (including
+        the ``progress`` live-counter hook).
         """
         return integrate_many(
             socs, config=self.config, workers=workers, backend=backend,

@@ -118,7 +118,7 @@ class CampaignConfig:
         strategies = tuple(self.strategies or available_strategies())
         if self.workers is not None:
             workers = max(1, self.workers)
-        elif self.backend in ("thread", "process"):
+        elif self.backend == "process":
             workers = auto_workers(min(self.seeds, self.chunk_size))
         else:
             workers = 1
@@ -373,6 +373,17 @@ class Campaign:
                 progress.resume(state.cursor, violations=state.violation_count)
         if self.complete:
             return self._finish()
+        # a directory from an older version may store a backend that no
+        # longer exists (``thread``); refuse before touching any state
+        from repro.core.batch import BACKENDS
+
+        runnable = [name for name in BACKENDS if name != "auto"]
+        if config.backend not in runnable:
+            raise ValueError(
+                f"{self.config_path} stores backend {config.backend!r}, which "
+                f"this version cannot run (valid: {', '.join(runnable)}); "
+                "start a fresh directory"
+            )
         resuming = state.cursor > 0
         if resuming:
             state.resumes += 1

@@ -135,7 +135,7 @@ def run_fuzz(
     seed_list = list(range(seed_base, seed_base + seeds))
     if workers is not None:
         worker_count = max(1, workers)
-    elif backend in ("thread", "process"):
+    elif backend == "process":
         worker_count = auto_workers(len(seed_list))
     else:
         worker_count = 1

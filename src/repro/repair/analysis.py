@@ -124,7 +124,7 @@ class AnalyzeRepair(Stage):
     Reads ``soc`` and ``config``; produces ``ctx.repair``.  A chip with
     no memories leaves the artifact None.  Runs serial inside the stage
     — pipeline-level batching (``integrate_many``) already parallelizes
-    across SOCs, and nesting process pools inside worker threads is not
+    across SOCs, and nesting process pools inside batch workers is not
     worth the fork overhead for the default 200 trials.
     """
 

@@ -38,7 +38,6 @@ from repro.sched.session import (
     schedule_serial,
     schedule_sessions,
 )
-from repro.sched.session_ref import schedule_sessions_reference
 from repro.sched.tasks import scan_max_width, tasks_from_core, tasks_from_soc
 from repro.sched.timecalc import (
     FUNCTIONAL_SETUP_CYCLES,
@@ -85,7 +84,6 @@ __all__ = [
     "build_session",
     "schedule_serial",
     "schedule_sessions",
-    "schedule_sessions_reference",
     "scan_max_width",
     "tasks_from_core",
     "tasks_from_soc",

@@ -17,7 +17,8 @@ Both engines share the leaf computations (:func:`build_session`,
 ``_total_time``, ``_finalize_sessions``) — what differs is the *search*:
 how candidate memberships are evaluated and how the running makespan is
 maintained.  Do not "optimize" this module; its value is being the
-unoptimized baseline.
+unoptimized baseline.  It lives under ``tests/``, beside
+``hotpath_oracles.py``, because no product code may call it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from repro.gen.campaign import (
     Campaign,
     CampaignConfig,
     CampaignInterrupted,
+    _config_digest,
     campaign_status,
     load_repro,
     replay_repro,
@@ -294,6 +295,39 @@ class TestResume:
         checkpoint_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="exceeds"):
             resume_campaign(tmp_path / "c")
+
+    def test_resume_refuses_legacy_thread_backend(self, tmp_path):
+        """A directory written when ``thread`` was still a backend (its
+        campaign.json and checkpoint digest agree on it) stays readable
+        by ``status`` but refuses to resume — naming the stored and the
+        valid backends — before any campaign state is touched."""
+        directory = tmp_path / "c"
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(directory, profile="tiny", seeds=4,
+                         chunk_size=2, strategies=["serial"],
+                         backend="serial", max_chunks=1)
+        config_path = directory / "campaign.json"
+        checkpoint_path = directory / "checkpoint.json"
+        config_doc = json.loads(config_path.read_text())
+        config_doc.update(backend="thread", workers=2)
+        config_path.write_text(json.dumps(config_doc))
+        checkpoint_doc = json.loads(checkpoint_path.read_text())
+        checkpoint_doc["config_digest"] = _config_digest(config_doc)
+        checkpoint_path.write_text(json.dumps(checkpoint_doc))
+        log_path = directory / "scenarios.jsonl"
+        with open(log_path, "a") as handle:
+            handle.write('{"half-written')  # what a crash mid-chunk leaves
+        log_before = log_path.read_bytes()
+        checkpoint_before = checkpoint_path.read_bytes()
+
+        status = campaign_status(directory)
+        assert status["done"] == 2 and status["resumes"] == 0
+        with pytest.raises(ValueError, match=r"'thread'.*serial, process"):
+            resume_campaign(directory)
+        assert checkpoint_path.read_bytes() == checkpoint_before
+        assert log_path.read_bytes() == log_before
+        with pytest.raises(SystemExit, match="'thread'"):
+            main(["campaign", "resume", str(directory)])
 
     def test_progress_totals_grow_across_resumes(self, tmp_path):
         """A resumed campaign's JobProgress must credit checkpointed

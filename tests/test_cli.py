@@ -233,7 +233,7 @@ class TestFuzzCommand:
             assert cell["total_time"] >= scenario["lower_bound"]
 
     def test_parallel_backends_match_serial(self, capsys):
-        """`fuzz --backend process/thread` must emit exactly the serial
+        """`fuzz --backend process` must emit exactly the serial
         report: the sweep only ships (profile, seed) coordinates.  Since
         v2 the report records its own resolved backend/workers, so those
         two keys (and only those) legitimately differ."""
@@ -241,14 +241,13 @@ class TestFuzzCommand:
                 "--strategies", "session", "serial", "--json"]
         assert main(base) == 0
         serial_doc = json.loads(capsys.readouterr().out)
-        for backend in ("thread", "process"):
-            assert main(base + ["--backend", backend, "--workers", "2"]) == 0
-            doc = json.loads(capsys.readouterr().out)
-            assert doc.pop("backend") == backend and doc.pop("workers") == 2
-            expected = dict(serial_doc)
-            assert expected.pop("backend") == "serial"
-            assert expected.pop("workers") == 1
-            assert doc == expected
+        assert main(base + ["--backend", "process", "--workers", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("backend") == "process" and doc.pop("workers") == 2
+        expected = dict(serial_doc)
+        assert expected.pop("backend") == "serial"
+        assert expected.pop("workers") == 1
+        assert doc == expected
 
     def test_ilp_gated_by_task_count(self, capsys):
         assert main(["fuzz", "--seeds", "2", "--profile", "small",
@@ -417,6 +416,20 @@ class TestBatchCommand:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["batch", "dsc:28", "--backend", "greenlet"])
+
+    def test_thread_backend_rejected(self, tmp_path):
+        """The thread backend is gone: every ``--backend`` flag refuses
+        it at the argparse layer (exit 2) instead of running anything."""
+        for argv in (
+            ["batch", "dsc:28"],
+            ["fuzz", "--seeds", "1"],
+            ["campaign", "run", str(tmp_path / "c"), "--seeds", "1"],
+            ["serve", "--port", "0"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--backend", "thread"])
+            assert info.value.code == 2, argv
+        assert not (tmp_path / "c").exists()
 
     def test_bad_generated_spec_rejected(self):
         for spec in ("gen-gigantic-3", "gen-tiny-x", "gen-tiny"):

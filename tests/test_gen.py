@@ -1,12 +1,17 @@
-"""Tests for :mod:`repro.gen`: profiles, generator, writer, corpus."""
+"""Tests for :mod:`repro.gen`: profiles, generator, writer, corpus, and
+scheduler soundness on generated chips."""
 
 import dataclasses
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.bist import MARCH_C_MINUS, plan_bist
 from repro.gen import (
     GenProfile,
     Scenario,
+    ScenarioSpec,
     SocGenerator,
     available_profiles,
     generate_soc,
@@ -18,7 +23,15 @@ from repro.gen import (
     soc_to_modules,
     soc_to_text,
 )
-from repro.sched import SharingPolicy, control_pins, tasks_from_soc
+from repro.sched import (
+    InfeasibleScheduleError,
+    SharingPolicy,
+    control_pins,
+    schedule_nonsession,
+    schedule_serial,
+    schedule_sessions,
+    tasks_from_soc,
+)
 from repro.soc.dsc import build_dsc_chip
 from repro.soc.itc02 import d695_soc, d695_soc_text, parse_soc, soc_from_modules
 
@@ -109,6 +122,7 @@ class TestGeneratedValidity:
         assert spec.cores[0] <= len(soc.cores) <= spec.cores[1]
         assert spec.memories[0] <= len(soc.memories) <= spec.memories[1]
         for core in soc.cores:
+            assert core.tests
             if core.scan_chains:
                 assert spec.chains[0] <= len(core.scan_chains) <= spec.chains[1]
                 for length in core.chain_lengths:
@@ -203,3 +217,57 @@ class TestCorpus:
         assert isinstance(scenario, Scenario)
         with pytest.raises(dataclasses.FrozenInstanceError):
             scenario.seed = 99
+
+
+# -- scheduler soundness on generated chips ----------------------------------
+
+GENERATED = st.builds(
+    ScenarioSpec,
+    profile=st.sampled_from(("tiny", "small")),
+    seed=st.integers(0, 10_000),
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(spec=GENERATED)
+def test_property_session_scheduler_sound_on_synthetic_socs(spec):
+    """For any generated chip with a power budget, BIST groups included:
+    every test scheduled exactly once, power and pin budgets respected,
+    and the serial baseline never beaten by the session schedule."""
+    soc = spec.build()
+    assume(soc.power_budget > 0)
+    plan = plan_bist(soc.memories, MARCH_C_MINUS, power_budget=soc.power_budget)
+    tasks = tasks_from_soc(soc) + plan.to_tasks()
+    result = schedule_sessions(soc, tasks)
+    names = sorted(t.task.name for s in result.sessions for t in s.tests)
+    assert names == sorted(t.name for t in tasks)
+    for session in result.sessions:
+        assert session.power <= soc.power_budget + 1e-9
+        data_used = sum(2 * t.width for t in session.tests if t.task.is_scan)
+        assert session.control_pins + data_used <= soc.test_pins
+    serial = schedule_serial(soc, tasks)
+    assert result.total_time <= serial.total_time
+
+
+@settings(max_examples=5, deadline=None)
+@given(spec=GENERATED)
+def test_property_nonsession_sound_or_infeasible(spec):
+    """Non-session either schedules everything without overlap violations
+    or raises cleanly."""
+    soc = spec.build()
+    tasks = tasks_from_soc(soc)
+    try:
+        result = schedule_nonsession(soc, tasks)
+    except InfeasibleScheduleError:
+        return
+    tests = result.sessions[0].tests
+    assert len(tests) == len(tasks)
+    # per-core mutex: intervals of the same core never overlap
+    by_core: dict[str, list] = {}
+    for t in tests:
+        by_core.setdefault(t.task.core_name, []).append((t.start, t.finish))
+    for intervals in by_core.values():
+        intervals.sort()
+        for (_s1, f1), (s2, _f2) in zip(intervals, intervals[1:]):
+            assert f1 <= s2
+    assert result.total_time == max(t.finish for t in tests)

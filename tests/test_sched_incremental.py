@@ -6,7 +6,7 @@ one or two sessions a move touches are re-evaluated, memoized session
 lengths are reused corpus-wide, and the search short-circuits once the
 incumbent reaches the computable floor.  None of that may change a
 single byte of output: ``schedule_sessions_reference``
-(:mod:`repro.sched.session_ref`) keeps the original full-
+(``tests/session_ref.py``) keeps the original full-
 rematerialization search verbatim, and these tests race the two on
 generated corpora and on the d695 golden workload, comparing the
 canonical JSON serialization bit for bit.
@@ -29,7 +29,6 @@ from repro.sched import (  # noqa: E402
     scan_time_cache_stats,
     schedule_lower_bound,
     schedule_sessions,
-    schedule_sessions_reference,
     session_schedule_floor,
     tasks_from_soc,
 )
@@ -40,6 +39,7 @@ from repro.sched.timecalc import (  # noqa: E402
     core_scan_time,
 )
 from repro.soc.itc02 import d695_soc  # noqa: E402
+from session_ref import schedule_sessions_reference  # noqa: E402
 
 COMMON = dict(
     deadline=None,

@@ -131,7 +131,7 @@ class TestCacheOverHttp:
         })["id"])
         hit = server.submit({
             "kind": "batch", "socs": [{"spec": {"profile": "tiny", "seed": 3}}],
-            "backend": "thread", "workers": 2,
+            "backend": "process", "workers": 2,
         })
         assert hit["cached"] is True
 
@@ -175,6 +175,19 @@ class TestOtherJobKinds:
         doc = server.result(job["id"])
         assert doc["schema"] == "repro/batch-result/v4"
         assert doc["ok"] is True and len(doc["items"]) == 2
+
+    def test_thread_backend_fails_the_job(self, server):
+        """A served payload naming the removed thread backend ends as a
+        typed failed job, never a silent reroute to another backend."""
+        job = server.wait(server.submit({
+            "kind": "batch",
+            "socs": [{"spec": {"profile": "tiny", "seed": 21}},
+                     {"spec": {"profile": "tiny", "seed": 22}}],
+            "backend": "thread", "workers": 2,
+        })["id"])
+        assert job["status"] == "failed"
+        assert "'thread'" in job["error"] and "auto, serial, process" in job["error"]
+        assert server.healthy()
 
     def test_unknown_strategy_fails_the_job_not_the_server(self, server):
         job = server.wait(server.submit(dict(TINY, strategy="magic"))["id"])
