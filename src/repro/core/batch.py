@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
@@ -463,7 +462,6 @@ def integrate_many(
     workers = max(1, workers)
     backend = resolve_backend(backend, workers, len(items))
 
-    started = time.perf_counter()
     note = None
     if progress is not None:
         progress.start(len(items))
@@ -502,6 +500,6 @@ def integrate_many(
     return BatchResult(
         items=out,
         workers=workers,
-        elapsed_seconds=time.perf_counter() - started,
+        elapsed_seconds=bsp.dur,
         backend=backend,
     )

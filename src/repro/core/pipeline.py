@@ -12,16 +12,16 @@ flow, replace a stage, or append their own:
     >>> Pipeline.default().until("schedule").run(ctx)      # doctest: +SKIP
     >>> ctx.schedule.total_time                            # doctest: +SKIP
 
-Stages mutate the context in place; each records its wall-clock time in
-``ctx.stage_seconds`` (and in the ``pipeline.stage.seconds`` histogram
-— plus one ``pipeline.<stage>`` span when :mod:`repro.obs` tracing is
+Stages mutate the context in place; each runs under one
+``pipeline.<stage>`` span, whose ``dur`` is added to
+``ctx.stage_seconds`` and observed by the ``pipeline.stage.seconds``
+histogram (the span is also recorded when :mod:`repro.obs` tracing is
 enabled).  A stage only reads artifacts produced by earlier stages, so
 any prefix of the default flow is a valid flow.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -115,8 +115,9 @@ class Stage:
     """One box of the Fig.-1 flow.
 
     Subclasses set ``name`` and implement :meth:`execute`; :meth:`run`
-    wraps it with per-stage timing.  Stages are cheap, stateless-ish
-    objects — construct freely, reuse across SOCs.
+    wraps it in the stage's span and books the span's duration.  Stages
+    are cheap, stateless-ish objects — construct freely, reuse across
+    SOCs.
     """
 
     name: str = "stage"
@@ -125,14 +126,12 @@ class Stage:
         raise NotImplementedError
 
     def run(self, ctx: FlowContext) -> FlowContext:
-        started = time.perf_counter()
-        with span("pipeline." + self.name, soc=ctx.soc.name):
+        with span("pipeline." + self.name, soc=ctx.soc.name) as sp:
             self.execute(ctx)
-        elapsed = time.perf_counter() - started
         ctx.stage_seconds[self.name] = (
-            ctx.stage_seconds.get(self.name, 0.0) + elapsed
+            ctx.stage_seconds.get(self.name, 0.0) + sp.dur
         )
-        _STAGE_SECONDS.observe(elapsed, stage=self.name)
+        _STAGE_SECONDS.observe(sp.dur, stage=self.name)
         return ctx
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -201,7 +200,7 @@ class Schedule(Stage):
 
     def execute(self, ctx: FlowContext) -> None:
         config = ctx.config
-        if not ctx.tasks and "compile_bist" not in ctx.stage_seconds:
+        if not ctx.tasks:
             # allow schedule-only flows on a bare SOC
             ctx.tasks = tasks_from_soc(ctx.soc)
         ctx.schedule = self._schedule(ctx, config.strategy)

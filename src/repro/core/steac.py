@@ -18,7 +18,6 @@ many SOCs through :meth:`Steac.integrate_many`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -129,19 +128,15 @@ class Steac:
                 Fig.-1 stages from :func:`repro.core.pipeline.default_stages`
                 (plus ``analyze_repair`` when the config enables it).
         """
-        started = time.perf_counter()
-        ctx = self.context(soc, stil_texts, pattern_data)
-        if pipeline is None:
-            pipeline = Pipeline(default_stages(
-                repair=self.config.analyze_repair,
-                verify=self.config.verify_schedule,
-            ))
-        sp = span("integrate", soc=soc.name, strategy=self.config.strategy)
-        with sp:
+        with span("integrate", soc=soc.name, strategy=self.config.strategy) as sp:
+            ctx = self.context(soc, stil_texts, pattern_data)
+            if pipeline is None:
+                pipeline = Pipeline(default_stages(
+                    repair=self.config.analyze_repair,
+                    verify=self.config.verify_schedule,
+                ))
             pipeline.run(ctx)
-        result = IntegrationResult.from_context(
-            ctx, runtime_seconds=time.perf_counter() - started
-        )
+        result = IntegrationResult.from_context(ctx, runtime_seconds=sp.dur)
         if sp.id is not None:
             # tracing was on: attach the compact span summary (the
             # ``trace`` section of the v4 result schema)

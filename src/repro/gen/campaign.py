@@ -62,7 +62,6 @@ import hashlib
 import itertools
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -415,7 +414,6 @@ class Campaign:
 
         config = self.config
         chunks_run = 0
-        started = time.perf_counter()
         with ChunkRunner(config.backend, config.workers) as runner, open(
             self.scenarios_path, "a"
         ) as log:
@@ -430,7 +428,7 @@ class Campaign:
                     range(first, min(first + config.chunk_size,
                                      config.seed_base + config.seeds))
                 )
-                with span("campaign.chunk", first=first, size=len(seeds)):
+                with span("campaign.chunk", first=first, size=len(seeds)) as sp:
                     outcomes = runner.map(
                         fuzz_scenario,
                         (
@@ -440,25 +438,23 @@ class Campaign:
                             itertools.repeat(config.ilp_max_tasks),
                         ),
                     )
-                # transactional absorb: the chunk's effects (counters,
-                # dedupe keys, findings) accumulate in a staged copy;
-                # ``self.state`` stays at the last barrier, so an
-                # interrupt landing anywhere in this loop — shrinking
-                # runs here, in this process — never exposes half a
-                # chunk to a checkpoint.  Repro files written along the
-                # way are rewritten identically when the chunk re-runs.
-                staged = copy.deepcopy(self.state)
-                seen = {tuple(key) for key in staged.seen}
-                for seed, (doc, count) in zip(seeds, outcomes):
-                    self._absorb(staged, seen, seed, doc, count, log)
-                    if progress is not None:
-                        progress.advance(violations=count)
-                log.flush()
-                os.fsync(log.fileno())
+                    # transactional absorb: the chunk's effects (counters,
+                    # dedupe keys, findings) accumulate in a staged copy;
+                    # ``self.state`` stays at the last barrier, so an
+                    # interrupt landing anywhere in this loop — shrinking
+                    # runs here, in this process — never exposes half a
+                    # chunk to a checkpoint.  Repro files written along the
+                    # way are rewritten identically when the chunk re-runs.
+                    staged = copy.deepcopy(self.state)
+                    seen = {tuple(key) for key in staged.seen}
+                    for seed, (doc, count) in zip(seeds, outcomes):
+                        self._absorb(staged, seen, seed, doc, count, log)
+                        if progress is not None:
+                            progress.advance(violations=count)
+                    log.flush()
+                    os.fsync(log.fileno())
                 staged.cursor += len(seeds)
-                now = time.perf_counter()
-                staged.elapsed_seconds += now - started
-                started = now
+                staged.elapsed_seconds += sp.dur
                 # the barrier: scenario lines are durable before the
                 # staged state (whose cursor claims them) becomes
                 # current and is checkpointed

@@ -3,9 +3,10 @@
 Three small, independent pieces (see each module's docstring):
 
 * :mod:`repro.obs.trace` — a process-local :class:`Tracer` of nestable
-  spans, a true no-op while disabled; JSONL export, replayable span
-  trees, and the compact summary that becomes the v4 integration
-  result's ``trace`` section.
+  spans, each timing itself (``dur``, the one clock every reported
+  duration reads) and recorded only while tracing is enabled; JSONL
+  export, replayable span trees, and the compact summary that becomes
+  the v4 integration result's ``trace`` section.
 * :mod:`repro.obs.metrics` — a global counter/gauge/histogram registry
   rendered in the Prometheus text format (``GET /metrics``,
   ``repro metrics``).

@@ -8,11 +8,17 @@ manager::
         ...
         sp.set(makespan=41232)
 
-Spans nest through a per-thread stack, so a span opened inside another
-becomes its child without explicit wiring.  When the tracer is
-*disabled* (the default) :func:`span` returns a shared singleton no-op
-object — no allocation, no clock reads, no lock — so instrumented hot
-paths cost one truthiness check (``bench_sched_search.py`` gates the
+Every span times itself: once the ``with`` block closes, ``sp.dur``
+holds its :func:`time.perf_counter` delta.  That is the platform's one
+timing source — ``stage_seconds``, ``runtime_seconds``, a batch's and a
+campaign's ``elapsed_seconds`` and the ``pipeline.stage.seconds``
+histogram all read the ``dur`` of the span wrapping the region.
+
+While tracing is enabled, spans nest through a per-thread stack, so a
+span opened inside another becomes its child without explicit wiring,
+and each closed span is recorded.  When the tracer is *disabled* (the
+default) a span costs two clock reads: it gets no id, touches no stack
+or lock and records nothing (``bench_sched_search.py`` gates the
 end-to-end overhead at <2%).
 
 Records are plain dicts (``{"id", "parent", "name", "start", "wall",
@@ -45,44 +51,28 @@ import time
 from typing import IO, Any, Optional, Union
 
 
-class _NullSpan:
-    """The shared do-nothing span handed out while tracing is disabled."""
-
-    __slots__ = ()
-    id: Optional[int] = None
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> "_NullSpan":
-        return self
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Span:
-    """One live timed region; becomes a record dict when it closes."""
+    """One timed region: always measures ``dur``; becomes a record dict
+    when it closes, but only if the tracer was enabled at creation."""
 
     __slots__ = (
-        "_tracer", "name", "attrs", "id", "parent", "_start", "_wall", "_t0",
+        "_tracer", "name", "attrs", "id", "parent", "dur",
+        "_start", "_wall", "_t0",
     )
 
     def __init__(
         self,
-        tracer: "Tracer",
+        tracer: Optional["Tracer"],
         name: str,
         attrs: dict[str, Any],
         parent: Optional[int] = None,
     ):
-        self._tracer = tracer
+        self._tracer = tracer  # None: time only, record nothing
         self.name = name
         self.attrs = attrs
         self.parent = parent
         self.id: Optional[int] = None
+        self.dur = 0.0
 
     def set(self, **attrs: Any) -> "Span":
         """Attach (or overwrite) attributes on the open span."""
@@ -91,19 +81,23 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        stack = tracer._stack()
-        if self.parent is None and stack:
-            self.parent = stack[-1]
-        self.id = next(tracer._ids)
-        stack.append(self.id)
-        self._start = time.monotonic()
-        self._wall = time.time()  # detlint: ignore[DET002] -- display-only run timestamp; ordering uses the monotonic `start`
+        if tracer is not None:
+            stack = tracer._stack()
+            if self.parent is None and stack:
+                self.parent = stack[-1]
+            self.id = next(tracer._ids)
+            stack.append(self.id)
+            self._start = time.monotonic()
+            self._wall = time.time()  # detlint: ignore[DET002] -- display-only run timestamp; ordering uses the monotonic `start`
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        dur = time.perf_counter() - self._t0
-        stack = self._tracer._stack()
+        self.dur = time.perf_counter() - self._t0
+        tracer = self._tracer
+        if tracer is None:
+            return False
+        stack = tracer._stack()
         if stack and stack[-1] == self.id:
             stack.pop()
         elif self.id is not None:  # pragma: no cover — unbalanced exit
@@ -111,13 +105,13 @@ class Span:
                 stack.remove(self.id)
             except ValueError:
                 pass
-        self._tracer._append({
+        tracer._append({
             "id": self.id,
             "parent": self.parent,
             "name": self.name,
             "start": self._start,
             "wall": self._wall,
-            "dur": dur,
+            "dur": self.dur,
             "attrs": self.attrs,
         })
         return False
@@ -126,8 +120,8 @@ class Span:
 class Tracer:
     """A process-local span recorder.
 
-    Disabled by default: :meth:`span` then returns the singleton no-op
-    span.  Enabling is process-wide for this tracer; the per-thread
+    Disabled by default: :meth:`span` then returns a span that only
+    times itself.  Enabling is process-wide for this tracer; the per-thread
     span stack keeps concurrent threads' spans correctly parented.
     """
 
@@ -174,16 +168,14 @@ class Tracer:
 
     def span(
         self, name: str, parent: Optional[int] = None, **attrs: Any
-    ) -> Union[Span, _NullSpan]:
-        """A new child span (no-op while disabled).
+    ) -> Span:
+        """A new child span (timing only, unrecorded, while disabled).
 
         ``parent`` pins the parent id explicitly (for a caller on
         another thread, whose own stack is empty); same-thread callers
         inherit the innermost open span from the stack.
         """
-        if not self._enabled:
-            return _NULL_SPAN
-        return Span(self, name, attrs, parent=parent)
+        return Span(self if self._enabled else None, name, attrs, parent=parent)
 
     # -- record access -----------------------------------------------------
 
@@ -235,8 +227,8 @@ class Tracer:
 TRACER = Tracer()
 
 
-def span(name: str, parent: Optional[int] = None, **attrs: Any) -> Union[Span, _NullSpan]:
-    """A span on the global :data:`TRACER` (no-op while disabled)."""
+def span(name: str, parent: Optional[int] = None, **attrs: Any) -> Span:
+    """A span on the global :data:`TRACER` (unrecorded while disabled)."""
     return TRACER.span(name, parent=parent, **attrs)
 
 

@@ -73,6 +73,17 @@ class TestPartialFlows:
         Pipeline([Schedule()]).run(ctx)
         assert ctx.schedule.total_time > 0
 
+    def test_schedule_derives_tasks_whatever_the_timings_say(self):
+        """Task derivation keys on ``ctx.tasks`` alone — a recorded
+        ``compile_bist`` time (say, from a reused context) does not
+        suppress it."""
+        soc = Soc("bare", test_pins=24)
+        soc.add_core(build_demo_core(patterns=3))
+        ctx = FlowContext(soc=soc, stage_seconds={"compile_bist": 0.0})
+        Pipeline([Schedule()]).run(ctx)
+        assert ctx.tasks
+        assert ctx.schedule.total_time > 0
+
     def test_dft_before_schedule_fails_fast(self):
         ctx = Steac().context(small_soc())
         with pytest.raises(MissingArtifactError):
