@@ -11,7 +11,10 @@ normalized job config plus the :meth:`repro.soc.Soc.digest` of every
 chip involved, so resubmitting identical work — inline ``.soc`` text,
 generator coordinates, or a named benchmark — answers instantly from
 the :class:`ResultCache` (in-memory LRU, optional on-disk store) with
-``cached: true`` and a bit-identical document.
+``cached: true`` and a bit-identical document.  Each server also keeps
+a bounded, process-local index from chip reference to digest, so a
+repeat computes its key without building the chip and a hit does no
+chip work (see :mod:`repro.serve.runners`).
 
 Everything is stdlib (``http.server``, ``json``, ``urllib``): the
 service adds no dependencies over the library it wraps.  Start one with

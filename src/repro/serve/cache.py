@@ -32,6 +32,9 @@ from typing import Optional
 class ResultCache:
     """Thread-safe LRU + optional directory store for result documents.
 
+    A memory-only instance also serves as a job manager's chip-reference
+    index (reference key -> ``Soc.digest()``; see :mod:`repro.serve.keys`).
+
     Args:
         capacity: in-memory entry budget (least-recently-*used* entry is
             evicted first; 0 disables the memory tier, leaving a purely

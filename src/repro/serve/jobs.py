@@ -9,7 +9,11 @@ A job moves through four states::
 
 plus the fast path: a submit whose content address hits the cache is
 born ``done`` with ``cached: true`` — no queue round-trip, the stored
-result text is returned verbatim.
+result text is returned verbatim.  The manager's reference index
+remembers each chip reference's digest, so a repeat computes its address
+without building the chip, and a hit does no chip work at all; work
+items are materialized only on a miss (see :mod:`repro.serve.keys` and
+:mod:`repro.serve.runners`).
 
 The worker pool is a handful of daemon threads feeding off one queue;
 each job's *internal* parallelism (batch fan-out, fuzz sweeps,
@@ -36,7 +40,7 @@ from typing import Optional
 from repro.obs import METRICS, JobProgress
 from repro.serve.cache import ResultCache
 from repro.serve.keys import JobError, normalize_payload
-from repro.serve.runners import content_address, execute
+from repro.serve.runners import content_address, execute, materialize
 
 # v2 adds the nullable ``progress`` key (live done/total/violations for
 # batch and fuzz jobs) and derives queue/run durations from a monotonic
@@ -46,6 +50,11 @@ JOB_SCHEMA = "repro/serve-job/v2"
 JOB_STATES = ("queued", "running", "done", "failed")
 
 _SENTINEL = None
+
+#: Entries a manager's chip-reference index holds before evicting the
+#: least recently used (an entry is two sha256 hex strings, so the cap
+#: bounds memory, not speed).
+REF_INDEX_CAP = 4096
 
 _M_SUBMITTED = METRICS.counter(
     "serve.jobs.submitted", "jobs accepted by JobManager.submit"
@@ -175,6 +184,7 @@ class JobManager:
         if max_jobs is not None and max_jobs < 1:
             raise ValueError(f"max_jobs must be >= 1 (or None), got {max_jobs}")
         self.cache = cache if cache is not None else ResultCache()
+        self.ref_index = ResultCache(capacity=REF_INDEX_CAP)
         self.default_backend = default_backend
         self.max_jobs = max_jobs
         self._jobs: OrderedDict[str, Job] = OrderedDict()
@@ -244,7 +254,10 @@ class JobManager:
             self._jobs[job.id] = job
         _M_SUBMITTED.inc()
         try:
-            job.cache_key, job.work = content_address(normalized)
+            job.cache_key, built = content_address(normalized, self.ref_index)
+            cached = self.cache.get(job.cache_key)
+            if cached is None:
+                job.work = materialize(normalized, built)
         except JobError as exc:
             with self._lock:
                 job.status = "failed"
@@ -253,7 +266,6 @@ class JobManager:
                 self._evict_locked()
             _M_FAILED.inc()
             return job
-        cached = self.cache.get(job.cache_key)
         with self._lock:
             if cached is not None:
                 job.status = "done"
@@ -286,10 +298,10 @@ class JobManager:
                     # long fan-out kinds get a live counter the engine
                     # bumps per scenario; GET /jobs/<id> snapshots it
                     job.progress = JobProgress()
+            work, job.work = job.work, []  # a retained record holds no chips
             try:
                 doc = execute(
-                    job.normalized, job.work, job.execution,
-                    progress=job.progress,
+                    job.normalized, work, job.execution, progress=job.progress
                 )
                 text = result_to_text(doc)
             except JobError as exc:
@@ -349,10 +361,13 @@ class JobManager:
                 by_status[job.status] += 1
             submitted = self._counter
             evicted = self._evicted
+        ref_index = self.ref_index.stats()
         from repro.sched.timecalc import scan_time_cache_stats
 
         doc = {
-            "schema": "repro/serve-stats/v1",
+            # v2 adds ``ref_index``; v1 consumers that ignore unknown
+            # keys keep working
+            "schema": "repro/serve-stats/v2",
             "uptime_seconds": round(time.monotonic() - self._started_mono, 3),
             "workers": len(self._threads),
             "default_backend": self.default_backend or "auto",
@@ -364,6 +379,10 @@ class JobManager:
                 **by_status,
             },
             "cache": self.cache.stats(),
+            "ref_index": {
+                key: ref_index[key]
+                for key in ("hits", "misses", "entries", "capacity")
+            },
             "scan_time_cache": scan_time_cache_stats(),
         }
         return doc

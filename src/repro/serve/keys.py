@@ -19,6 +19,20 @@ front end's work items:
 * ``{"name": "dsc" | "d695"}`` — a built-in benchmark chip;
 
 each optionally carrying ``test_pins`` / ``power_budget`` overrides.
+
+Digesting a chip means building it first (generate, parse or construct,
+then canonicalize): tens of milliseconds for a d695-sized chip.  So each
+job manager keeps a *reference index* from normalized reference to
+digest, and a repeat submit computes its cache key from one small hash
+— on a result-cache hit it does no chip work at all.  The index keys on
+:func:`repro.soc.digest.digest_document` of the normalized reference; a
+``spec`` reference also folds in its resolved
+:class:`repro.gen.GenProfile`, so re-registering a profile under the
+same name changes the key instead of serving a stale digest.  Only a
+reference that built successfully is indexed; the index is bounded
+(:data:`repro.serve.jobs.REF_INDEX_CAP` entries, least-recently-used
+evicted first) and never persisted — a restarted server rebuilds it
+from the traffic it sees.  See :func:`repro.serve.runners.content_address`.
 """
 
 from __future__ import annotations

@@ -1,23 +1,37 @@
 """From normalized job documents to result documents.
 
-:func:`content_address` materializes a job's chip references into batch
-work items and folds their :meth:`repro.soc.Soc.digest` content
-addresses into the cache key; :func:`execute` dispatches the job to the
-same library entry points the CLI uses (``Steac.integrate``,
-``integrate_many``, ``run_fuzz``, ``repair_report``), so a served
-result is the verbatim wire document of the matching shell command.
-Both raise :class:`repro.serve.keys.JobError` for user-caused failures
-(a malformed ``.soc``, an unknown strategy) — the job manager records
+A submit runs in two steps, so a result-cache hit does no chip work:
+
+1. :func:`content_address` computes the job's cache key.  Each chip
+   reference is looked up in the server's reference index first (see
+   :mod:`repro.serve.keys`); a hit costs one hash of the reference.  A
+   miss builds the chip (generate / parse / construct), takes its
+   :meth:`repro.soc.Soc.digest` and indexes it.
+2. Only when the result cache misses does :func:`materialize` turn the
+   references into work items, reusing every chip step 1 built — a
+   missed chip is built once, not once for its digest and again for
+   execution.  ``batch`` items stay :class:`repro.gen.ScenarioSpec`
+   coordinates, so the process backend pickles bytes, not models.
+
+:func:`execute` then dispatches the job to the same library entry
+points the CLI uses (``Steac.integrate``, ``integrate_many``,
+``run_fuzz``, ``repair_report``), so a served result is the verbatim
+wire document of the matching shell command.  All three raise
+:class:`repro.serve.keys.JobError` for user-caused failures (a
+malformed ``.soc``, an unknown strategy) — the job manager records
 those as *failed jobs*, distinct from server bugs.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from dataclasses import asdict
+from typing import Optional, Union
 
 from repro.gen import ScenarioSpec
+from repro.serve.cache import ResultCache
 from repro.serve.keys import JobError, cache_key, soc_refs
 from repro.soc import Soc
+from repro.soc.digest import digest_document
 
 #: A job's unit of chip work: a live model, or coordinates built in the
 #: worker (kept as a spec so the process backend pickles bytes, not
@@ -47,8 +61,32 @@ def result_schema(kind: str) -> str:
     raise JobError(f"unknown job kind {kind!r}")
 
 
-def build_work_item(ref: dict) -> WorkItem:
-    """Materialize one normalized chip reference (raising
+def _profile(spec: dict):
+    """The registered generator profile a ``spec`` reference names."""
+    from repro.gen import available_profiles, get_profile
+
+    if spec["profile"] not in available_profiles():
+        raise JobError(
+            f"unknown generator profile {spec['profile']!r} "
+            f"(available: {', '.join(available_profiles())})"
+        )
+    return get_profile(spec["profile"])
+
+
+def _scenario_spec(ref: dict) -> ScenarioSpec:
+    spec = ref["spec"]
+    _profile(spec)
+    return ScenarioSpec(
+        profile=spec["profile"],
+        seed=spec["seed"],
+        index=spec["index"],
+        test_pins=ref.get("test_pins"),
+        power_budget=ref.get("power_budget"),
+    )
+
+
+def build_soc(ref: dict) -> Soc:
+    """Build the chip one normalized reference names (raising
     :class:`JobError` on semantic problems, e.g. unparsable ``.soc``
     text or an unknown generator profile)."""
     test_pins = ref.get("test_pins")
@@ -65,21 +103,7 @@ def build_work_item(ref: dict) -> WorkItem:
         except ValueError as exc:
             raise JobError(f"unparsable soc_text: {exc}") from exc
     if "spec" in ref:
-        spec = ref["spec"]
-        from repro.gen import available_profiles
-
-        if spec["profile"] not in available_profiles():
-            raise JobError(
-                f"unknown generator profile {spec['profile']!r} "
-                f"(available: {', '.join(available_profiles())})"
-            )
-        return ScenarioSpec(
-            profile=spec["profile"],
-            seed=spec["seed"],
-            index=spec["index"],
-            test_pins=test_pins,
-            power_budget=power_budget,
-        )
+        return _scenario_spec(ref).build()
     name = ref["name"]
     overrides = {}
     if test_pins is not None:
@@ -95,25 +119,61 @@ def build_work_item(ref: dict) -> WorkItem:
     return build_dsc_chip(**overrides)
 
 
-def work_digest(item: WorkItem) -> str:
-    """The content address of a work item's chip (specs are built —
-    generation is deterministic, so the digest names the same chip the
-    worker will build)."""
-    if isinstance(item, ScenarioSpec):
-        return item.build().digest()
-    return item.digest()
+def ref_index_key(ref: dict) -> str:
+    """The reference-index key of one normalized chip reference: the
+    reference's document digest, plus the resolved generator profile
+    for a ``spec`` (re-registering a profile name changes the chip)."""
+    if "spec" in ref:
+        return digest_document(dict(ref, profile=asdict(_profile(ref["spec"]))))
+    return digest_document(ref)
 
 
-def content_address(normalized: dict) -> tuple[str, list[WorkItem]]:
-    """Build a normalized job's work items and its cache key.
+def content_address(
+    normalized: dict, index: Optional[ResultCache] = None
+) -> tuple[str, list[Optional[Soc]]]:
+    """A normalized job's cache key, and the chips built to find it.
 
-    Returns ``(key, work)``; the work items are reused for execution so
-    inline ``.soc`` text is parsed exactly once.  Raises
-    :class:`JobError` if any chip reference cannot be materialized.
+    ``index`` maps :func:`ref_index_key` to ``Soc.digest()`` (a
+    memory-only :class:`ResultCache`).  Returns ``(key, built)``:
+    ``built[i]`` is the chip built for the job's ``i``-th reference, or
+    ``None`` where ``index`` knew its digest.  Without ``index`` every
+    distinct reference is built.  A reference is indexed only after it
+    built, so one that fails (raising :class:`JobError`) fails again on
+    every submit.
     """
-    work = [build_work_item(ref) for ref in soc_refs(normalized)]
-    digests = [work_digest(item) for item in work]
-    return cache_key(normalized, digests, result_schema(normalized["kind"])), work
+    if index is None:
+        index = ResultCache()  # this job's own: only repeats within it hit
+    digests: list[str] = []
+    built: list[Optional[Soc]] = []
+    for ref in soc_refs(normalized):
+        key = ref_index_key(ref)
+        digest = index.get(key)
+        soc = None
+        if digest is None:
+            soc = build_soc(ref)
+            digest = soc.digest()
+            index.put(key, digest)
+        digests.append(digest)
+        built.append(soc)
+    return cache_key(normalized, digests, result_schema(normalized["kind"])), built
+
+
+def materialize(normalized: dict, built: list[Optional[Soc]]) -> list[WorkItem]:
+    """The work items of a job the result cache missed.
+
+    Chips :func:`content_address` built are reused; an indexed ``spec``
+    reference becomes a :class:`ScenarioSpec` the worker builds, and an
+    indexed ``name`` / ``soc_text`` reference is built here.  A
+    ``batch`` keeps every ``spec`` reference as coordinates.
+    """
+    batch = normalized["kind"] == "batch"
+    work: list[WorkItem] = []
+    for ref, soc in zip(soc_refs(normalized), built):
+        if "spec" in ref and (batch or soc is None):
+            work.append(_scenario_spec(ref))
+        else:
+            work.append(soc if soc is not None else build_soc(ref))
+    return work
 
 
 def _as_soc(item: WorkItem) -> Soc:

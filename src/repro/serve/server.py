@@ -15,9 +15,9 @@ Endpoints::
 ``GET /metrics`` renders the process-wide :data:`repro.obs.METRICS`
 registry (scheduler counters, evaluator-memo and scan-time caches,
 pipeline stage histograms, job counters) plus this server's own result
-cache and job table as extra samples — one scrape covers all three
-caches.  While a batch or fuzz job runs, its live scenario counters
-also appear on ``GET /jobs/<id>`` under ``progress``.
+cache, chip-reference index and job table as extra samples — one scrape
+covers every cache.  While a batch or fuzz job runs, its live scenario
+counters also appear on ``GET /jobs/<id>`` under ``progress``.
 
 ``POST /jobs`` answers with the full job document, so a submit that
 hits the result cache returns ``status: "done"``, ``cached: true`` and
@@ -44,8 +44,9 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 def render_server_metrics(manager: JobManager) -> str:
     """The ``/metrics`` exposition: the global registry plus samples
-    scoped to this server instance (its result cache and job table,
-    which live on the manager rather than in the process registry)."""
+    scoped to this server instance (its result cache, chip-reference
+    index and job table, which live on the manager rather than in the
+    process registry)."""
     from repro.obs import METRICS
 
     cache = manager.cache.stats()
@@ -57,6 +58,8 @@ def render_server_metrics(manager: JobManager) -> str:
         ("cache.result.evictions", "counter", None, cache["evictions"]),
         ("cache.result.entries", "gauge", None, cache["entries"]),
         ("cache.result.capacity", "gauge", None, cache["capacity"]),
+        ("serve.ref_index.hits", "counter", None, stats["ref_index"]["hits"]),
+        ("serve.ref_index.misses", "counter", None, stats["ref_index"]["misses"]),
         ("serve.uptime_seconds", "gauge", None, stats["uptime_seconds"]),
         ("serve.workers", "gauge", None, stats["workers"]),
     ]

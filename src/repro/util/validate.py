@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\[\].$]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\[\].$]*")
 
 
 def check_positive(value: int | float, what: str) -> None:
@@ -26,6 +26,6 @@ def check_name(name: str, what: str = "name") -> str:
     character (bus bits like ``data[3]`` and hierarchical names like
     ``u_top.u_core`` are accepted).
     """
-    if not isinstance(name, str) or not _NAME_RE.match(name):
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
         raise ValueError(f"invalid {what}: {name!r}")
     return name

@@ -91,6 +91,18 @@ class TestModule:
         counts = make_half_adder().cell_counts()
         assert counts == {"XOR2": 1, "AND2": 1}
 
+    def test_trailing_newline_names_rejected(self):
+        m = Module("m")
+        with pytest.raises(ValueError, match="port name"):
+            m.add_port("abc\n", PortDir.IN)
+        with pytest.raises(ValueError, match="net name"):
+            m.add_net("abc\n")
+        with pytest.raises(ValueError, match="instance name"):
+            m.add_instance("u_abc\n", "INV", A="a", Y="y")
+        with pytest.raises(ValueError, match="net name"):
+            m.add_instance("u_inv", "INV", A="abc\n", Y="y")
+        assert m.ports == [] and m.nets == set() and m.instances == []
+
 
 class TestValidate:
     def test_clean_module(self):

@@ -201,7 +201,7 @@ class TestStats:
         server.wait(server.submit(TINY)["id"])
         server.submit(TINY)  # cache hit
         stats = server.stats()
-        assert stats["schema"] == "repro/serve-stats/v1"
+        assert stats["schema"] == "repro/serve-stats/v2"
         assert stats["workers"] == 2
         assert stats["jobs"]["submitted"] >= 2
         assert stats["jobs"]["done"] >= 2
@@ -405,6 +405,20 @@ class TestObservability:
             'repro_serve_jobs_retained{state="done"}',
         ):
             assert family in text, f"missing metric family: {family}"
+
+    def test_ref_index_in_stats_and_metrics(self, server):
+        from repro.serve.jobs import REF_INDEX_CAP
+
+        server.wait(server.submit(TINY)["id"])
+        assert server.submit(TINY)["cached"] is True
+        stats = server.stats()
+        assert stats["ref_index"] == {
+            "hits": 1, "misses": 1, "entries": 1, "capacity": REF_INDEX_CAP,
+        }
+        lines = server.metrics_text().splitlines()
+        assert "# TYPE repro_serve_ref_index_hits counter" in lines
+        assert "repro_serve_ref_index_hits 1" in lines
+        assert "repro_serve_ref_index_misses 1" in lines
 
     def test_stats_carries_scan_time_cache(self, server):
         stats = server.stats()

@@ -50,6 +50,10 @@ class TestPort:
         with pytest.raises(ValueError):
             Port("d", Direction.IN, width=0)
 
+    def test_name_with_trailing_newline_rejected(self):
+        with pytest.raises(ValueError, match="port name"):
+            Port("a\n", Direction.IN)
+
     def test_port_counts_widths(self):
         ports = [
             Port("a", Direction.IN, width=8),

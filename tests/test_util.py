@@ -82,3 +82,9 @@ class TestValidators:
             check_name("")
         with pytest.raises(ValueError):
             check_name("a b")
+
+    @pytest.mark.parametrize("name", ["abc\n", "data[3]\n"])
+    def test_check_name_rejects_line_breaks(self, name):
+        # a name ending in a newline would split an emitted Verilog line
+        with pytest.raises(ValueError):
+            check_name(name)
